@@ -119,6 +119,9 @@ struct RuntimeConfig {
 /// frontend hand to the runtime, so the two drivers share one code path.
 struct Access {
   PageIndex page = 0;
+  /// Algorithm-1 logical timestamp (trace::TimestampTransform) — the axis
+  /// the GMM was trained on, the value replay_trace generates and the one
+  /// captures store. Raw record indices are off the model's axis.
   Timestamp timestamp = 0;
   bool is_write = false;
 };
